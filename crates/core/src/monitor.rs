@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 
 use tg_graph::diag::{Diagnostic, Fix, FixIt, LabeledSpan, Severity};
 use tg_graph::{ProtectionGraph, Right, Rights, SourceMap, VertexId};
-use tg_rules::{Derivation, Effect, Rule, RuleError};
+use tg_rules::{Effect, Rule, RuleError};
 
 use crate::journal::{Journal, JournalEvent, Outcome};
 use crate::levels::LevelAssignment;
@@ -234,7 +234,6 @@ pub struct Monitor {
     graph: ProtectionGraph,
     levels: LevelAssignment,
     restriction: Box<dyn Restriction>,
-    log: Derivation,
     stats: MonitorStats,
     journal: Option<Journal>,
     sink: Option<Box<dyn EventSink>>,
@@ -265,7 +264,6 @@ impl Monitor {
             graph,
             levels,
             restriction,
-            log: Derivation::new(),
             stats: MonitorStats::default(),
             journal: None,
             sink: None,
@@ -276,11 +274,9 @@ impl Monitor {
 
     /// Reconstitutes a monitor from externally persisted state — a
     /// commit-log snapshot: the graph, classification and counters are
-    /// adopted as recorded, while the [`Derivation`] log restarts empty
-    /// (carrying the full rule-by-rule history in every snapshot would
-    /// defeat bounded recovery; the journal remains the history of
-    /// record). The monitor starts undegraded with no journal, sink or
-    /// observer attached.
+    /// adopted as recorded. The monitor keeps no rule-by-rule history of
+    /// its own (the journal or commit log is the history of record), and
+    /// starts undegraded with no journal, sink or observer attached.
     pub fn restore(
         graph: ProtectionGraph,
         levels: LevelAssignment,
@@ -428,11 +424,6 @@ impl Monitor {
         &self.levels
     }
 
-    /// The log of applied rules.
-    pub fn log(&self) -> &Derivation {
-        &self.log
-    }
-
     /// Counters.
     pub fn stats(&self) -> MonitorStats {
         self.stats
@@ -464,8 +455,10 @@ impl Monitor {
     }
 
     /// Applies a rule if its preconditions hold and the restriction
-    /// permits it. On success the rule is logged; created vertices inherit
-    /// the creator's level.
+    /// permits it. Every attempt is recorded to the attached journal and
+    /// sink; created vertices inherit the creator's level. The monitor
+    /// keeps no in-memory history of applied rules, so its footprint does
+    /// not grow with traffic.
     pub fn try_apply(&mut self, rule: &Rule) -> Result<Effect, MonitorError> {
         let _span = tg_obs::span(tg_obs::SpanKind::MonitorApply);
         if let Err(e) = self.check(rule) {
@@ -491,14 +484,13 @@ impl Monitor {
             }
         }
         self.notify_applied(&effect);
-        self.log.push(rule.clone());
         self.stats.permitted += 1;
         tg_obs::add(tg_obs::Counter::MonitorPermitted, 1);
         Ok(effect)
     }
 
     /// Applies a whole rule trace transactionally: either every rule is
-    /// applied (and logged, and counted permitted), or — at the first
+    /// applied (and counted permitted), or — at the first
     /// refusal — the already-applied prefix is rolled back via exact
     /// inverse effects ([`Effect::invert`]) and only the refused rule is
     /// counted. The journal records the batch as `B`/`A…`/`C` on commit or
@@ -562,9 +554,6 @@ impl Monitor {
             observer.batch_commit();
         }
         self.record(&JournalEvent::BatchCommit);
-        for rule in rules {
-            self.log.push(rule.clone());
-        }
         self.stats.permitted += rules.len();
         tg_obs::add(tg_obs::Counter::MonitorPermitted, rules.len() as u64);
         Ok(applied)
@@ -677,9 +666,9 @@ impl Monitor {
         }))
     }
 
-    /// Consumes the monitor, returning the graph, levels and log.
-    pub fn into_parts(self) -> (ProtectionGraph, LevelAssignment, Derivation) {
-        (self.graph, self.levels, self.log)
+    /// Consumes the monitor, returning the graph and levels.
+    pub fn into_parts(self) -> (ProtectionGraph, LevelAssignment) {
+        (self.graph, self.levels)
     }
 }
 
@@ -1032,7 +1021,7 @@ mod tests {
         let m = setup();
         assert!(secure_policy(m.graph(), m.levels()).is_err());
         // ...and an unrestricted monitor indeed lets the breach happen:
-        let (g, levels, _) = m.into_parts();
+        let (g, levels) = m.into_parts();
         let rule = Rule::DeJure(DeJureRule::Take {
             actor: v(1),
             via: v(2),
@@ -1110,7 +1099,6 @@ mod tests {
         let effects = m.try_apply_all(&rules).unwrap();
         assert_eq!(effects.len(), 2);
         assert_eq!(m.stats().permitted, 2);
-        assert_eq!(m.log().len(), 2);
         assert!(m.graph().has_explicit(lo, v(0), Right::Execute));
     }
 
@@ -1151,7 +1139,6 @@ mod tests {
         // Only the failing rule is counted; the rolled-back prefix is not.
         assert_eq!(m.stats().permitted, 0);
         assert_eq!(m.stats().denied, 1);
-        assert_eq!(m.log().len(), 0);
     }
 
     #[test]
@@ -1207,20 +1194,5 @@ mod tests {
         assert!(m.is_degraded());
         let post = Rule::DeFacto(DeFactoRule::Post { x, y: shared, z });
         assert!(m.try_apply(&post).is_ok());
-    }
-
-    #[test]
-    fn into_parts_returns_the_log() {
-        let mut m = setup();
-        let lo = v(1);
-        m.try_apply(&Rule::DeJure(DeJureRule::Create {
-            actor: lo,
-            kind: VertexKind::Object,
-            rights: Rights::R,
-            name: "n".to_string(),
-        }))
-        .unwrap();
-        let (_, _, log) = m.into_parts();
-        assert_eq!(log.len(), 1);
     }
 }

@@ -375,11 +375,28 @@ impl Chain {
         Ok((chain, None))
     }
 
-    /// Drops the last `n` records (used when recovery discards a
-    /// trailing uncommitted batch, so the persisted chain can be
-    /// rewritten to match the recovered state).
+    /// Keeps only the first `keep` records above the base (used when
+    /// recovery discards a trailing uncommitted batch, so the persisted
+    /// chain can be rewritten to match the recovered state).
     pub fn truncate_records(&mut self, keep: usize) {
         self.records.truncate(keep);
+    }
+
+    /// Drops the records at or below `epoch` from memory, moving the base
+    /// up to `epoch` (the commit log keeps only the records above its
+    /// newest snapshot resident). The header this chain would now
+    /// [`encode`](Chain::encode) names the new base, so a chain trimmed
+    /// this way must not be written back as the chain file.
+    ///
+    /// # Panics
+    ///
+    /// If `epoch` is outside `[base_epoch, end_epoch]`.
+    pub fn forget_below(&mut self, epoch: u64) {
+        let hash = self.hash_at(epoch).expect("epoch is within the chain");
+        let drop = (epoch - self.base_epoch) as usize;
+        self.records.drain(..drop);
+        self.base_epoch = epoch;
+        self.base_hash = hash;
     }
 }
 
@@ -546,6 +563,25 @@ mod tests {
         assert!(tear.is_none());
         assert_eq!(parsed.hash_at(6), Some(full.head_hash()));
         assert_eq!(parsed.hash_at(3), None, "folded history is gone");
+    }
+
+    #[test]
+    fn forgetting_history_keeps_hashes_and_appends_identical() {
+        let full = sample_chain(6);
+        let mut window = full.clone();
+        window.forget_below(4);
+        assert_eq!(window.base_epoch(), 4);
+        assert_eq!(window.records(), &full.records()[4..]);
+        assert_eq!(window.head_hash(), full.head_hash());
+        assert_eq!(window.hash_at(4), full.hash_at(4));
+        assert_eq!(window.hash_at(3), None);
+        let mut extended = full.clone();
+        extended.append(take_event(6));
+        window.append(take_event(6));
+        assert_eq!(window.head_hash(), extended.head_hash());
+        window.forget_below(7);
+        assert!(window.records().is_empty());
+        assert_eq!(window.end_epoch(), 7);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! effect the restriction would not grant still fails replay, and (b)
 //! below the compaction base the seed anchor pins epoch 0 exactly.
 
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 use tg_hierarchy::journal::{open_batch_start, replay_events, JournalError, JournalEvent};
@@ -107,6 +108,13 @@ pub enum LogError {
     /// The log was opened with [`CommitLog::open_read_only`]; it accepts
     /// no writes (no commits, snapshots, compaction, or chain healing).
     ReadOnly,
+    /// The persisted chain, read back for history older than the records
+    /// held in memory, no longer agrees with them: it was truncated or
+    /// rewritten behind the log's back.
+    StoreDiverged {
+        /// The epoch at which the store and memory disagree.
+        epoch: u64,
+    },
 }
 
 impl core::fmt::Display for LogError {
@@ -146,6 +154,10 @@ impl core::fmt::Display for LogError {
             LogError::ReadOnly => {
                 write!(f, "commit log opened read-only: refusing to write")
             }
+            LogError::StoreDiverged { epoch } => write!(
+                f,
+                "persisted chain no longer matches the log at epoch {epoch}: refusing to read history"
+            ),
         }
     }
 }
@@ -210,7 +222,14 @@ pub struct CompactionReport {
 
 struct LogInner {
     store: Box<dyn Store>,
+    /// The resident window of the chain: only the records above the
+    /// newest snapshot (its base is that snapshot's epoch, not the
+    /// compaction base). Older history is read back from the store on
+    /// demand ([`LogInner::full_chain`]), so memory stays bounded by the
+    /// snapshot interval however long the log runs.
     chain: Chain,
+    /// The compaction base: the epoch the persisted chain starts at.
+    base_epoch: u64,
     /// Encoded records not yet flushed to the store.
     pending: String,
     /// Epochs of snapshot files present (unvalidated; consumers
@@ -287,7 +306,7 @@ impl LogInner {
     /// Decodes and fully validates the snapshot at `epoch` against the
     /// chain: body digest (inside `decode`), position hash, and — for
     /// epoch 0 — the seed anchor.
-    fn load_snapshot(&self, epoch: u64) -> Result<Snapshot, String> {
+    fn load_snapshot(&self, chain: &Chain, epoch: u64) -> Result<Snapshot, String> {
         let bytes = self
             .store
             .read(&snapshot::file_name(epoch))
@@ -300,8 +319,7 @@ impl LogInner {
                 snap.epoch
             ));
         }
-        let expected = self
-            .chain
+        let expected = chain
             .hash_at(epoch)
             .ok_or_else(|| format!("epoch {epoch} outside the chain"))?;
         if snap.chain_hash != expected {
@@ -315,22 +333,23 @@ impl LogInner {
             if snap.stats != MonitorStats::default() {
                 return Err("seed snapshot carries nonzero counters".to_string());
             }
-            if seed_digest(&snap.graph, &snap.levels) != self.chain.genesis() {
+            if seed_digest(&snap.graph, &snap.levels) != chain.genesis() {
                 return Err("seed snapshot does not match the genesis anchor".to_string());
             }
         }
         Ok(snap)
     }
 
-    /// The newest validating snapshot with epoch in `[base, at]`, plus
-    /// how many candidates were rejected on the way down.
-    fn best_snapshot(&self, at: u64) -> Result<(Snapshot, usize), LogError> {
+    /// The newest snapshot with epoch in `[chain base, at]` that
+    /// validates against `chain`, plus how many candidates were rejected
+    /// on the way down.
+    fn best_snapshot(&self, chain: &Chain, at: u64) -> Result<(Snapshot, usize), LogError> {
         let mut rejected = 0;
         for &epoch in self.snapshots.iter().rev() {
-            if epoch > at || epoch < self.chain.base_epoch() {
+            if epoch > at || epoch < chain.base_epoch() {
                 continue;
             }
-            match self.load_snapshot(epoch) {
+            match self.load_snapshot(chain, epoch) {
                 Ok(snap) => return Ok((snap, rejected)),
                 Err(_) => rejected += 1,
             }
@@ -338,20 +357,20 @@ impl LogInner {
         Err(LogError::NoUsableSnapshot { rejected })
     }
 
-    /// The fold: restore `snap`, replay chain records `(snap.epoch,
+    /// The fold: restore `snap`, replay `chain`'s records `(snap.epoch,
     /// at]`, discarding a batch left open at the cut. Returns the
     /// monitor and what was done.
     fn fold_from(
-        &self,
+        chain: &Chain,
         snap: Snapshot,
         at: u64,
         restriction: Box<dyn Restriction>,
     ) -> Result<(Monitor, TravelInfo), LogError> {
         let snapshot_epoch = snap.epoch;
         let mut monitor = Monitor::restore(snap.graph, snap.levels, restriction, snap.stats);
-        let lo = (snapshot_epoch - self.chain.base_epoch()) as usize;
-        let hi = (at - self.chain.base_epoch()) as usize;
-        let mut events: Vec<JournalEvent> = self.chain.records()[lo..hi]
+        let lo = (snapshot_epoch - chain.base_epoch()) as usize;
+        let hi = (at - chain.base_epoch()) as usize;
+        let mut events: Vec<JournalEvent> = chain.records()[lo..hi]
             .iter()
             .map(|r| r.event.clone())
             .collect();
@@ -370,6 +389,48 @@ impl LogInner {
                 discarded_open_batch,
             },
         ))
+    }
+
+    /// The whole chain from the compaction base: the persisted records
+    /// below the resident window, re-read and re-verified from the store,
+    /// joined to the resident records. The store must agree with memory
+    /// at the window's base, or the read fails closed.
+    fn full_chain(&self) -> Result<Cow<'_, Chain>, LogError> {
+        let window = self.chain.base_epoch();
+        if window == self.base_epoch {
+            return Ok(Cow::Borrowed(&self.chain));
+        }
+        let bytes = self.store.read(CHAIN_FILE)?.ok_or(LogError::MissingChain)?;
+        let (mut full, _) = Chain::parse(&bytes, self.chain.genesis())?;
+        if full.base_epoch() != self.base_epoch
+            || full.hash_at(window) != Some(self.chain.base_hash())
+        {
+            return Err(LogError::StoreDiverged { epoch: window });
+        }
+        full.truncate_records((window - self.base_epoch) as usize);
+        for record in self.chain.records() {
+            full.append(record.event.clone());
+        }
+        Ok(Cow::Owned(full))
+    }
+
+    /// The committed state at `at` (`base_epoch <= at <= end`): folded
+    /// from the resident window when a snapshot inside it validates,
+    /// otherwise from the full chain, so the result is always the fold
+    /// from the newest validating snapshot at or below `at`.
+    fn reconstruct(
+        &self,
+        at: u64,
+        restriction: Box<dyn Restriction>,
+    ) -> Result<(Monitor, TravelInfo), LogError> {
+        if at >= self.chain.base_epoch() {
+            if let Ok((snap, _)) = self.best_snapshot(&self.chain, at) {
+                return LogInner::fold_from(&self.chain, snap, at, restriction);
+            }
+        }
+        let full = self.full_chain()?;
+        let (snap, _) = self.best_snapshot(&full, at)?;
+        LogInner::fold_from(&full, snap, at, restriction)
     }
 }
 
@@ -415,20 +476,14 @@ impl CommitLog {
         if store.read(CHAIN_FILE)?.is_some() {
             return Err(LogError::AlreadyExists);
         }
-        let genesis = seed_digest(&graph, &levels);
-        let seed = Snapshot {
-            epoch: 0,
-            chain_hash: genesis,
-            graph: graph.clone(),
-            levels: levels.clone(),
-            stats: MonitorStats::default(),
-        };
-        store.write_atomic(&snapshot::file_name(0), seed.encode().as_bytes())?;
+        let (seed, genesis) = snapshot::encode_seed(&graph, &levels);
+        store.write_atomic(&snapshot::file_name(0), seed.as_bytes())?;
         let chain = Chain::new(genesis);
         store.append(CHAIN_FILE, chain.header().as_bytes())?;
         let inner = Arc::new(Mutex::new(LogInner {
             store,
             chain,
+            base_epoch: 0,
             pending: String::new(),
             snapshots: vec![0],
             last_snapshot: 0,
@@ -530,6 +585,7 @@ impl CommitLog {
 
         let mut inner = LogInner {
             store,
+            base_epoch: chain.base_epoch(),
             chain,
             pending: String::new(),
             snapshots,
@@ -542,9 +598,9 @@ impl CommitLog {
         };
 
         let end = inner.chain.end_epoch();
-        let (snap, rejected) = inner.best_snapshot(end)?;
+        let (snap, rejected) = inner.best_snapshot(&inner.chain, end)?;
         let snapshot_epoch = snap.epoch;
-        let (monitor, info) = inner.fold_from(snap, end, restriction)?;
+        let (monitor, info) = LogInner::fold_from(&inner.chain, snap, end, restriction)?;
 
         // Heal: drop the discarded trailing batch from the in-memory
         // chain and, if anything was dropped (tear or batch), rewrite
@@ -565,10 +621,11 @@ impl CommitLog {
         let healed_end = inner.chain.end_epoch();
         inner.snapshots.retain(|&e| e <= healed_end);
         inner.last_snapshot = snapshot_epoch;
+        inner.chain.forget_below(snapshot_epoch);
 
         let report = RecoveryReport {
             genesis,
-            base_epoch: inner.chain.base_epoch(),
+            base_epoch: inner.base_epoch,
             end_epoch: healed_end,
             snapshot_epoch,
             replayed: info.replayed,
@@ -641,15 +698,15 @@ impl CommitLog {
     ) -> Result<(), LogError> {
         let _span = tg_obs::span(tg_obs::SpanKind::LogSnapshot);
         inner.flush_pending()?;
-        let snap = Snapshot {
-            epoch: end,
-            chain_hash: inner.chain.head_hash(),
-            graph: monitor.graph().clone(),
-            levels: monitor.levels().clone(),
-            stats: monitor.stats(),
-        };
+        let encoded = snapshot::encode_state(
+            end,
+            inner.chain.head_hash(),
+            monitor.graph(),
+            monitor.levels(),
+            &monitor.stats(),
+        );
         let name = snapshot::file_name(end);
-        if let Err(e) = inner.store.write_atomic(&name, snap.encode().as_bytes()) {
+        if let Err(e) = inner.store.write_atomic(&name, encoded.as_bytes()) {
             inner.poisoned = Some(e.to_string());
             return Err(LogError::Store(e));
         }
@@ -660,6 +717,9 @@ impl CommitLog {
             inner.snapshots.insert(pos, end);
         }
         inner.last_snapshot = end;
+        // Everything at or below the snapshot is durable and now
+        // reconstructible from it: only newer records stay resident.
+        inner.chain.forget_below(end);
         tg_obs::add(tg_obs::Counter::LogSnapshots, 1);
         Ok(())
     }
@@ -683,12 +743,11 @@ impl CommitLog {
         if epoch > end {
             return Err(LogError::FutureEpoch { epoch, end });
         }
-        let base = inner.chain.base_epoch();
+        let base = inner.base_epoch;
         if epoch < base {
             return Err(LogError::CompactedAway { epoch, base });
         }
-        let (snap, _) = inner.best_snapshot(epoch)?;
-        inner.fold_from(snap, epoch, restriction)
+        inner.reconstruct(epoch, restriction)
     }
 
     /// Folds history below the newest validating snapshot into that
@@ -707,9 +766,10 @@ impl CommitLog {
         inner.check_writable()?;
         let _span = tg_obs::span(tg_obs::SpanKind::LogCompact);
         inner.flush_pending()?;
-        let old_base = inner.chain.base_epoch();
+        let old_base = inner.base_epoch;
         let end = inner.chain.end_epoch();
-        let (candidate, _) = inner.best_snapshot(end)?;
+        let full = inner.full_chain()?;
+        let (candidate, _) = inner.best_snapshot(&full, end)?;
         let target = candidate.epoch;
         if target <= old_base {
             return Ok(CompactionReport {
@@ -727,11 +787,11 @@ impl CommitLog {
         // wrong-state snapshot whose digest and chain hash still check
         // out (it was taken against some other state) is caught here
         // instead of being promoted into permanent history.
-        let base_snap = match inner.load_snapshot(old_base) {
+        let base_snap = match inner.load_snapshot(&full, old_base) {
             Ok(snap) => snap,
             Err(_) => return Err(LogError::NoUsableSnapshot { rejected: 1 }),
         };
-        let (proof_monitor, _) = inner.fold_from(base_snap, target, restriction)?;
+        let (proof_monitor, _) = LogInner::fold_from(&full, base_snap, target, restriction)?;
         if *proof_monitor.graph() != candidate.graph {
             return Err(LogError::CompactionProof {
                 epoch: target,
@@ -753,15 +813,13 @@ impl CommitLog {
 
         // Rebuild the chain above the new base; re-appending reproduces
         // the exact same hashes, which we assert against the old head.
-        let base_hash = inner
-            .chain
-            .hash_at(target)
-            .expect("target is within the chain");
-        let mut new_chain = Chain::with_base(inner.chain.genesis(), target, base_hash);
+        let base_hash = full.hash_at(target).expect("target is within the chain");
+        let mut new_chain = Chain::with_base(full.genesis(), target, base_hash);
         let lo = (target - old_base) as usize;
-        for record in &inner.chain.records()[lo..] {
+        for record in &full.records()[lo..] {
             new_chain.append(record.event.clone());
         }
+        drop(full);
         assert_eq!(
             new_chain.head_hash(),
             inner.chain.head_hash(),
@@ -774,7 +832,11 @@ impl CommitLog {
             inner.poisoned = Some(e.to_string());
             return Err(LogError::Store(e));
         }
+        // The resident window never starts below the new base, and never
+        // moves down from the newest snapshot.
+        new_chain.forget_below(target.max(inner.chain.base_epoch()));
         inner.chain = new_chain;
+        inner.base_epoch = target;
 
         // Prune snapshots below the new base. A crash here leaves stale
         // snapshot files; recovery ignores them.
@@ -808,7 +870,14 @@ impl CommitLog {
 
     /// The compaction base (0 if never compacted).
     pub fn base_epoch(&self) -> u64 {
-        self.lock().chain.base_epoch()
+        self.lock().base_epoch
+    }
+
+    /// Chain records held in memory: those above the newest snapshot.
+    /// Bounded by the snapshot interval plus the records committed since
+    /// the last snapshot opportunity, however long the log has run.
+    pub fn resident_records(&self) -> usize {
+        self.lock().chain.records().len()
     }
 
     /// The seed anchor digest.

@@ -32,6 +32,7 @@
 //! state it was taken from.
 
 use core::fmt;
+use core::fmt::Write as _;
 
 use tg_graph::{ProtectionGraph, Rights, VertexId, VertexKind};
 use tg_hierarchy::{LevelAssignment, MonitorStats};
@@ -96,18 +97,20 @@ pub fn parse_file_name(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Renders a rights set as one whitespace-free token (`-` when empty;
-/// custom rights lose their display spaces, which [`Rights::parse`]
-/// accepts back).
-fn rights_token(rights: Rights) -> String {
+/// Writes a rights set as one whitespace-free token (`-` when empty).
+/// [`Rights`]' display separates custom rights with spaces; writing the
+/// rights one by one yields the same text minus those spaces, which
+/// [`Rights::parse`] accepts back.
+fn write_rights_token(out: &mut String, rights: Rights) {
     if rights.is_empty() {
-        "-".to_string()
-    } else {
-        rights.to_string().replace(' ', "")
+        out.push('-');
+    }
+    for right in rights.iter() {
+        let _ = write!(out, "{right}");
     }
 }
 
-/// Parses a [`rights_token`].
+/// Parses a [`write_rights_token`] token.
 fn parse_rights_token(token: &str) -> Result<Rights, SnapshotError> {
     if token == "-" {
         Ok(Rights::EMPTY)
@@ -117,52 +120,82 @@ fn parse_rights_token(token: &str) -> Result<Rights, SnapshotError> {
 }
 
 /// Encodes the snapshot body (everything after the header line) for a
-/// given state. Exposed to the crate so the genesis digest — the FNV-1a
-/// of the *seed* body with zeroed counters — can be computed without
-/// materializing a snapshot.
-pub(crate) fn encode_body(
-    graph: &ProtectionGraph,
-    levels: &LevelAssignment,
-    stats: &MonitorStats,
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("g {}\n", graph.vertex_count()));
+/// given state into one pre-sized buffer, borrowing the state rather
+/// than cloning it.
+fn encode_body(graph: &ProtectionGraph, levels: &LevelAssignment, stats: &MonitorStats) -> String {
+    // Roughly 24 bytes per vertex line and 16 per edge line.
+    let mut out = String::with_capacity(24 * graph.vertex_count() + 16 * graph.edge_count() + 64);
+    let _ = writeln!(out, "g {}", graph.vertex_count());
     for (_, vertex) in graph.vertices() {
-        out.push_str(&format!("v {} {}\n", vertex.kind, vertex.name));
+        let _ = writeln!(out, "v {} {}", vertex.kind, vertex.name);
     }
     for edge in graph.edges() {
-        out.push_str(&format!(
-            "e {} {} {} {}\n",
-            edge.src.index(),
-            edge.dst.index(),
-            rights_token(edge.rights.explicit()),
-            rights_token(edge.rights.implicit()),
-        ));
+        let _ = write!(out, "e {} {} ", edge.src.index(), edge.dst.index());
+        write_rights_token(&mut out, edge.rights.explicit());
+        out.push(' ');
+        write_rights_token(&mut out, edge.rights.implicit());
+        out.push('\n');
     }
-    out.push_str(&format!("L {}\n", levels.len()));
+    let _ = writeln!(out, "L {}", levels.len());
     for idx in 0..levels.len() {
-        out.push_str(&format!("l {}\n", levels.name(idx)));
+        let _ = writeln!(out, "l {}", levels.name(idx));
     }
     for h in 0..levels.len() {
         for l in 0..levels.len() {
             if levels.higher(h, l) {
-                out.push_str(&format!("d {h} {l}\n"));
+                let _ = writeln!(out, "d {h} {l}");
             }
         }
     }
     for (vertex, level) in levels.assignments() {
-        out.push_str(&format!("a {} {level}\n", vertex.index()));
+        let _ = writeln!(out, "a {} {level}", vertex.index());
     }
-    out.push_str(&format!(
-        "s {} {} {} {} {} {}\n",
+    let _ = writeln!(
+        out,
+        "s {} {} {} {} {} {}",
         stats.permitted,
         stats.denied,
         stats.malformed,
         stats.refused,
         stats.quarantined,
         stats.recoveries,
-    ));
+    );
     out
+}
+
+/// A whole snapshot file for `body` (from [`encode_body`]): the header
+/// line, then the body its digest covers.
+fn encode_file(epoch: u64, chain_hash: u64, body: &str) -> String {
+    let mut out = String::with_capacity(body.len() + 64);
+    let _ = writeln!(
+        out,
+        "{MAGIC} {epoch} {} {}",
+        hex16(chain_hash),
+        hex16(fnv1a(body.as_bytes()))
+    );
+    out.push_str(body);
+    out
+}
+
+/// Encodes the snapshot file for a live state without copying it (the
+/// commit log's snapshot path). Byte-identical to [`Snapshot::encode`]
+/// on the same state.
+pub(crate) fn encode_state(
+    epoch: u64,
+    chain_hash: u64,
+    graph: &ProtectionGraph,
+    levels: &LevelAssignment,
+    stats: &MonitorStats,
+) -> String {
+    encode_file(epoch, chain_hash, &encode_body(graph, levels, stats))
+}
+
+/// The epoch-0 snapshot file of a seed state and its digest — the
+/// genesis anchor — from one encoding of the seed body.
+pub(crate) fn encode_seed(graph: &ProtectionGraph, levels: &LevelAssignment) -> (String, u64) {
+    let body = encode_body(graph, levels, &MonitorStats::default());
+    let genesis = fnv1a(body.as_bytes());
+    (encode_file(0, genesis, &body), genesis)
 }
 
 /// The digest anchoring a chain to its seed: the body digest of the seed
@@ -175,12 +208,12 @@ pub fn seed_digest(graph: &ProtectionGraph, levels: &LevelAssignment) -> u64 {
 impl Snapshot {
     /// Encodes the whole snapshot file: header plus digested body.
     pub fn encode(&self) -> String {
-        let body = encode_body(&self.graph, &self.levels, &self.stats);
-        format!(
-            "{MAGIC} {} {} {}\n{body}",
+        encode_state(
             self.epoch,
-            hex16(self.chain_hash),
-            hex16(fnv1a(body.as_bytes()))
+            self.chain_hash,
+            &self.graph,
+            &self.levels,
+            &self.stats,
         )
     }
 

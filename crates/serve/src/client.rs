@@ -32,6 +32,11 @@ impl Client {
     pub fn connect_tcp(addr: &str) -> Result<Client, String> {
         let stream =
             TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+        // Requests are small frames; without this a pipelined burst can
+        // stall on the daemon's delayed ACK.
+        stream
+            .set_nodelay(true)
+            .map_err(|e| format!("cannot set TCP_NODELAY: {e}"))?;
         let writer = stream
             .try_clone()
             .map_err(|e| format!("cannot clone stream: {e}"))?;

@@ -3,14 +3,16 @@
 //! Every mutation and query a session sends enters here, in the order
 //! the gateway consumes it — that consumption order **is** the canonical
 //! serial order of the daemon (see `DESIGN.md` §15). Mutations are
-//! *admission batched*: up to `batch_window` pending rules coalesce into
-//! one [`Monitor::try_apply_all`] transactional batch plus one
-//! incremental re-audit through the attached `tg-inc` index. When the
-//! fast-path batch aborts, the gateway replays the same rules one by one
-//! through [`Monitor::try_apply`], so the final state is exactly the
+//! *group committed*: consecutive rules (at most `batch_window`) form one
+//! admission batch. Each rule is checked and applied on its own through
+//! [`Monitor::try_apply`], in arrival order, so the state is exactly the
 //! sequential application of the arrival order and every request gets
-//! the verdict *its own rule* earned — exact per-request attribution on
-//! partial rollback, never a collective "batch failed".
+//! the verdict *its own rule* earned. The group then shares one snapshot
+//! opportunity, one commit-log persist (one fdatasync) and one
+//! incremental re-audit, and no verdict of the group is released before
+//! that persist succeeds.
+
+use std::mem;
 
 use tg_graph::{Right, VertexId};
 use tg_hierarchy::{CombinedRestriction, Monitor};
@@ -44,7 +46,7 @@ pub enum Request {
 
 impl Request {
     /// Whether this request mutates monitor state (and therefore joins
-    /// the admission batch instead of being answered immediately).
+    /// the admission batch instead of a query wave).
     pub fn is_mutation(&self) -> bool {
         matches!(self, Request::Apply(_))
     }
@@ -174,6 +176,11 @@ impl<T> Gateway<T> {
         self.refusals
     }
 
+    /// The commit log admissions are persisted to, if any.
+    pub fn log(&self) -> Option<&CommitLog> {
+        self.log.as_ref()
+    }
+
     /// Queues one mutation. When the batch window fills, the batch is
     /// flushed and every queued request's verdict is returned; otherwise
     /// the verdict is deferred to the next flush.
@@ -186,73 +193,52 @@ impl<T> Gateway<T> {
         }
     }
 
-    /// Flushes the pending admission batch: one
-    /// [`Monitor::try_apply_all`] fast path, the sequential replay on
-    /// abort, one snapshot opportunity, one incremental re-audit. The
-    /// returned verdicts are in submission order.
+    /// Flushes the pending admission batch as one group commit: each
+    /// rule through [`Monitor::try_apply`] in submission order, then one
+    /// snapshot opportunity, one persist and one incremental re-audit.
+    /// The returned verdicts are in submission order. If the group cannot
+    /// be made durable, every request in it is answered `log-failure` —
+    /// an admission that cannot be made durable is not an admission —
+    /// and the gateway stops admitting.
     pub fn flush(&mut self) -> Vec<(T, Verdict)> {
         if self.pending.is_empty() {
             return Vec::new();
         }
         let _flush_span = tg_obs::span(tg_obs::SpanKind::ServeFlush);
-        let pending = std::mem::take(&mut self.pending);
+        let pending = mem::take(&mut self.pending);
         self.batches += 1;
         tg_obs::add(tg_obs::Counter::ServeBatches, 1);
-        if let Some(reason) = &self.degraded {
+        if let Some(reason) = self.degraded.clone() {
             // Fail closed: a gateway that cannot make admissions durable
             // stops admitting (the answer a crashed daemon would give).
-            let reason = reason.clone();
-            self.refusals += pending.len() as u64;
-            return pending
-                .into_iter()
-                .map(|(tag, _)| (tag, Verdict::Error(format!("log-failure: {reason}"))))
-                .collect();
+            return self.fail_group(pending, &reason);
         }
-        let rules: Vec<Rule> = pending.iter().map(|(_, rule)| (**rule).clone()).collect();
         let verdicts: Vec<Verdict> = {
             let _batch_span = tg_obs::span(tg_obs::SpanKind::ServeBatch);
-            match self.monitor.try_apply_all(&rules) {
-                // Fast path: the whole window admitted as one
-                // transaction.
-                Ok(effects) => effects
-                    .iter()
-                    .map(|_| Verdict::Ok("applied".into()))
-                    .collect(),
-                // The transactional batch aborted and rolled back in
-                // full. Replay the same rules sequentially so the final
-                // state equals per-rule application of the arrival
-                // order, and each request learns what *its* rule did —
-                // rules after the batch's first refusal may still
-                // legitimately succeed against the updated state.
-                Err(_) => rules
-                    .iter()
-                    .map(|rule| match self.monitor.try_apply(rule) {
-                        Ok(_) => Verdict::Ok("applied".into()),
-                        Err(e) => Verdict::Refused(e.to_string()),
-                    })
-                    .collect(),
-            }
-        };
-        self.refusals += verdicts
-            .iter()
-            .filter(|v| matches!(v, Verdict::Refused(_)))
-            .count() as u64;
-        tg_obs::add(
-            tg_obs::Counter::ServeRefusals,
-            verdicts
+            pending
                 .iter()
-                .filter(|v| matches!(v, Verdict::Refused(_)))
-                .count() as u64,
-        );
+                .map(|(_, rule)| match self.monitor.try_apply(rule) {
+                    Ok(_) => Verdict::Ok("applied".into()),
+                    Err(e) => Verdict::Refused(e.to_string()),
+                })
+                .collect()
+        };
         if let Some(log) = &self.log {
             let persisted = log
                 .maybe_snapshot(&self.monitor)
-                .map(|_| ())
-                .and_then(|()| log.persist());
+                .and_then(|_| log.persist());
             if let Err(e) = persisted {
-                self.degraded = Some(e.to_string());
+                let reason = e.to_string();
+                self.degraded = Some(reason.clone());
+                return self.fail_group(pending, &reason);
             }
         }
+        let refused = verdicts
+            .iter()
+            .filter(|v| matches!(v, Verdict::Refused(_)))
+            .count() as u64;
+        self.refusals += refused;
+        tg_obs::add(tg_obs::Counter::ServeRefusals, refused);
         // The one incremental re-audit per admission batch: a read of
         // the maintained violation set, not a Corollary 5.6 rescan.
         let _ = self.index.audit_clean();
@@ -261,6 +247,60 @@ impl<T> Gateway<T> {
             .map(|(tag, _)| tag)
             .zip(verdicts)
             .collect()
+    }
+
+    /// Answers every request of a group that was not made durable with
+    /// `log-failure`.
+    fn fail_group(&mut self, group: Vec<(T, Box<Rule>)>, reason: &str) -> Vec<(T, Verdict)> {
+        self.refusals += group.len() as u64;
+        group
+            .into_iter()
+            .map(|(tag, _)| (tag, Verdict::Error(format!("log-failure: {reason}"))))
+            .collect()
+    }
+
+    /// Processes one drain of requests in arrival order, handing every
+    /// verdict to `emit` as soon as it is final. Consecutive mutations
+    /// join the pending group (flushed whenever it reaches the batch
+    /// window); consecutive queries form a wave, answered — after the
+    /// group they follow is flushed — when a mutation or the end of the
+    /// drain arrives. The drain ends with a flush, so no verdict waits
+    /// for a later drain. Returns whether the drain held a `Shutdown`.
+    pub fn drain(
+        &mut self,
+        requests: impl IntoIterator<Item = (T, Request)>,
+        pool: &Pool,
+        mut emit: impl FnMut(T, Verdict),
+    ) -> bool {
+        let mut wave: Vec<(T, Request)> = Vec::new();
+        let mut shutdown = false;
+        for (tag, request) in requests {
+            match request {
+                Request::Apply(rule) => {
+                    // The queued queries must not observe this mutation.
+                    if !wave.is_empty() {
+                        for (tag, verdict) in self.query_wave(mem::take(&mut wave), pool) {
+                            emit(tag, verdict);
+                        }
+                    }
+                    for (tag, verdict) in self.submit_mutation(tag, rule) {
+                        emit(tag, verdict);
+                    }
+                }
+                Request::Shutdown => {
+                    for (tag, verdict) in self.query_wave(mem::take(&mut wave), pool) {
+                        emit(tag, verdict);
+                    }
+                    emit(tag, Verdict::Ok("bye".into()));
+                    shutdown = true;
+                }
+                other => wave.push((tag, other)),
+            }
+        }
+        for (tag, verdict) in self.query_wave(wave, pool) {
+            emit(tag, verdict);
+        }
+        shutdown
     }
 
     /// Answers a wave of read-only requests, flushing the pending batch
@@ -446,45 +486,204 @@ mod tests {
         }
     }
 
+    /// A take `s2` cannot perform: `s2` holds no take right over `s1`.
+    fn malformed(g: &ProtectionGraph) -> Box<Rule> {
+        let v = |n: &str| g.find_by_name(n).expect("vertex");
+        Box::new(Rule::DeJure(DeJureRule::Take {
+            actor: v("s2"),
+            via: v("s1"),
+            target: v("doc_a"),
+            rights: Rights::R,
+        }))
+    }
+
+    fn sequential_verdicts(monitor: &mut Monitor, rules: &[Box<Rule>]) -> Vec<Verdict> {
+        rules
+            .iter()
+            .map(|rule| match monitor.try_apply(rule) {
+                Ok(_) => Verdict::Ok("applied".into()),
+                Err(e) => Verdict::Refused(e.to_string()),
+            })
+            .collect()
+    }
+
     #[test]
-    fn rollback_attributes_verdicts_exactly() {
+    fn refusals_mid_group_attribute_verdicts_exactly() {
         let (g, levels) = system();
-        // Window of 3 with a denied rule in the middle: the fast-path
-        // batch aborts and rolls back in full, and the sequential replay
-        // must admit rules 1 and 3 while refusing only rule 2 —
-        // identical to a monitor fed the three rules one at a time.
-        let mut gw: Gateway<u64> = Gateway::new(monitor_of(&g, &levels), None, 3);
+        // One group of four with a denial and a malformed rule in the
+        // middle: rules 1 and 4 are admitted, only 2 and 3 refused —
+        // identical to a monitor fed the four rules one at a time, and
+        // each refusal is counted once.
+        let mut gw: Gateway<u64> = Gateway::new(monitor_of(&g, &levels), None, 4);
         let mut seq = monitor_of(&g, &levels);
         let rules = [
             take(&g, "doc_a", Rights::R),
             take(&g, "low", Rights::W), // write-down: denied
+            malformed(&g),
             take(&g, "doc_b", Rights::R),
         ];
         let mut batched = Vec::new();
         for (i, rule) in rules.iter().enumerate() {
             batched.extend(gw.submit_mutation(i as u64, rule.clone()));
         }
-        let sequential: Vec<Verdict> = rules
-            .iter()
-            .map(|rule| match seq.try_apply(rule) {
-                Ok(_) => Verdict::Ok("applied".into()),
-                Err(e) => Verdict::Refused(e.to_string()),
-            })
-            .collect();
-        assert_eq!(batched.len(), 3);
+        let sequential = sequential_verdicts(&mut seq, &rules);
+        assert_eq!(batched.len(), 4);
+        assert_eq!(gw.batches(), 1);
         for ((tag, got), want) in batched.iter().zip(&sequential) {
             assert_eq!(got, want, "verdict for request {tag}");
         }
         assert!(matches!(batched[0].1, Verdict::Ok(_)));
         assert!(matches!(batched[1].1, Verdict::Refused(_)));
-        assert!(matches!(batched[2].1, Verdict::Ok(_)));
-        assert_eq!(gw.refusals(), 1);
-        // And the state is the sequential state, byte for byte.
+        assert!(matches!(batched[2].1, Verdict::Refused(_)));
+        assert!(matches!(batched[3].1, Verdict::Ok(_)));
+        assert_eq!(gw.refusals(), 2);
+        // The state and every counter are the sequential ones.
         let (monitor, _) = gw.finish().unwrap();
+        assert_eq!(monitor.stats(), seq.stats());
+        assert_eq!((seq.stats().denied, seq.stats().malformed), (1, 1));
         assert_eq!(
             tg_graph::render_graph(monitor.graph()),
             tg_graph::render_graph(seq.graph())
         );
+    }
+
+    #[test]
+    fn a_drain_of_consecutive_applies_is_one_group() {
+        let (g, levels) = system();
+        let pool = Pool::sequential();
+        let mut gw: Gateway<u64> = Gateway::new(monitor_of(&g, &levels), None, 16);
+        let applies = |from: u64, n: u64| -> Vec<(u64, Request)> {
+            (from..from + n)
+                .map(|i| {
+                    let doc = if i % 2 == 0 { "doc_a" } else { "doc_b" };
+                    (i, Request::Apply(take(&g, doc, Rights::R)))
+                })
+                .collect()
+        };
+        let mut out = Vec::new();
+        assert!(!gw.drain(applies(0, 5), &pool, |t, v| out.push((t, v))));
+        assert_eq!(gw.batches(), 1, "five consecutive applies share one group");
+        assert!(!gw.has_pending(), "the drain ends with a flush");
+        assert_eq!(
+            out.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4]
+        );
+        assert!(out.iter().all(|(_, v)| *v == Verdict::Ok("applied".into())));
+
+        // The batch window caps a group: 40 applies make 16 + 16 + 8.
+        out.clear();
+        let _ = gw.drain(applies(5, 40), &pool, |t, v| out.push((t, v)));
+        assert_eq!(gw.batches(), 4);
+        assert_eq!(out.len(), 40);
+
+        // A query splits the run: the applies before it are flushed so
+        // it observes them, the ones after it form the next group, and
+        // verdicts leave in arrival order.
+        out.clear();
+        let mut mixed = applies(45, 2);
+        mixed.push((47, Request::Stats));
+        mixed.extend(applies(48, 2));
+        mixed.push((50, Request::Shutdown));
+        assert!(gw.drain(mixed, &pool, |t, v| out.push((t, v))));
+        assert_eq!(gw.batches(), 6);
+        assert_eq!(
+            out.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
+            [45, 46, 47, 48, 49, 50]
+        );
+        assert!(matches!(&out[2].1, Verdict::Ok(s) if s.starts_with("permitted 47 ")));
+        assert_eq!(out[5].1, Verdict::Ok("bye".into()));
+    }
+
+    #[test]
+    fn a_group_that_cannot_persist_fails_closed() {
+        use tg_log::{LogConfig, MemStore};
+        use tg_sim::faults::CrashPlan;
+        let (g, levels) = system();
+        let store = MemStore::new();
+        let config = LogConfig {
+            snapshot_interval: 0,
+            write_through: false,
+        };
+        let (log, monitor) = CommitLog::create(
+            Box::new(store.clone()),
+            g.clone(),
+            levels,
+            Box::new(CombinedRestriction),
+            config,
+        )
+        .unwrap();
+        let pool = Pool::sequential();
+        let mut gw: Gateway<u64> = Gateway::new(monitor, Some(log), 16);
+        // The disk dies before the group's persist: no request of the
+        // group, admitted or refused, may be answered as if durable.
+        store.set_plan(CrashPlan::kill_after_bytes(0));
+        let group = vec![
+            (1, Request::Apply(take(&g, "doc_a", Rights::R))),
+            (2, Request::Apply(take(&g, "low", Rights::W))),
+            (3, Request::Apply(take(&g, "doc_b", Rights::R))),
+        ];
+        let mut out = Vec::new();
+        let _ = gw.drain(group, &pool, |t, v| out.push((t, v)));
+        assert_eq!(out.len(), 3);
+        for (tag, verdict) in &out {
+            assert!(
+                matches!(verdict, Verdict::Error(e) if e.starts_with("log-failure: ")),
+                "request {tag}: {verdict:?}"
+            );
+        }
+        // And the gateway stays closed for later groups.
+        out.clear();
+        let later = vec![(4, Request::Apply(take(&g, "doc_a", Rights::R)))];
+        let _ = gw.drain(later, &pool, |t, v| out.push((t, v)));
+        assert!(matches!(&out[0].1, Verdict::Error(e) if e.starts_with("log-failure: ")));
+        assert!(gw.finish().is_err());
+    }
+
+    #[test]
+    fn resident_chain_stays_bounded_by_the_snapshot_interval() {
+        use tg_log::{LogConfig, MemStore};
+        let (g, levels) = system();
+        let config = LogConfig {
+            snapshot_interval: 64,
+            write_through: false,
+        };
+        let (log, monitor) = CommitLog::create(
+            Box::new(MemStore::new()),
+            g.clone(),
+            levels,
+            Box::new(CombinedRestriction),
+            config,
+        )
+        .unwrap();
+        let pool = Pool::sequential();
+        let window = 16;
+        let mut gw: Gateway<u64> = Gateway::new(monitor, Some(log), window);
+        let rules = [
+            take(&g, "doc_a", Rights::R),
+            take(&g, "low", Rights::W),
+            malformed(&g),
+            take(&g, "doc_b", Rights::R),
+        ];
+        let mut next = 0u64;
+        let mut answered = 0;
+        for drain in 0..300u64 {
+            // Drains of 1 to 23 requests, so groups cut the snapshot
+            // interval at every phase.
+            let len = 1 + (drain * 7) % 23;
+            let requests: Vec<(u64, Request)> = (next..next + len)
+                .map(|i| (i, Request::Apply(rules[i as usize % rules.len()].clone())))
+                .collect();
+            next += len;
+            let _ = gw.drain(requests, &pool, |_, _| answered += 1);
+            let resident = gw.log().unwrap().resident_records();
+            assert!(
+                resident <= 64 + window,
+                "{resident} records resident after {next} requests"
+            );
+        }
+        assert!(next > 3000);
+        assert_eq!(answered, next);
+        assert_eq!(gw.log().unwrap().end_epoch(), next);
     }
 
     #[test]

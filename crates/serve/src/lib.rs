@@ -13,14 +13,14 @@
 //!   payloads are the workspace's existing text codecs. The normative
 //!   spec lives in `docs/PROTOCOL.md`; `tests/conformance.rs` pins this
 //!   implementation to that document byte for byte.
-//! - **Admission batching.** Pending mutations coalesce into one
-//!   transactional [`Monitor::try_apply_all`] plus one incremental
-//!   re-audit, with exact per-request verdict attribution when the
-//!   batch aborts and rolls back ([`gateway`]).
-//! - **Fail-closed durability.** With a commit log attached, an
-//!   admission is acknowledged only after the `tg-log` chain accepts
-//!   it; a persistence failure flips the gateway into a degraded mode
-//!   that refuses all further mutations.
+//! - **Group commit.** Consecutive queued mutations form one admission
+//!   batch: each rule goes through [`Monitor::try_apply`] on its own,
+//!   and the group shares one commit-log persist (one fdatasync) and one
+//!   incremental re-audit ([`gateway`]).
+//! - **Fail-closed durability.** With a commit log attached, a verdict
+//!   is released only after its group's persist succeeded; a group that
+//!   cannot be made durable is answered `log-failure`, and the gateway
+//!   then refuses all further mutations.
 //! - **Proof under load.** [`soak`] boots a real daemon, drives it from
 //!   dozens of concurrent sessions, and cross-checks the final state
 //!   against an offline replay of the commit log.
@@ -29,7 +29,7 @@
 //! over [`server::Server`] and [`client::Client`].
 //!
 //! [`Monitor`]: tg_hierarchy::Monitor
-//! [`Monitor::try_apply_all`]: tg_hierarchy::Monitor::try_apply_all
+//! [`Monitor::try_apply`]: tg_hierarchy::Monitor::try_apply
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,7 +7,7 @@
 //! canonical serial order, so concurrent sessions are exactly as
 //! deterministic as some interleaving of their request streams (see
 //! `DESIGN.md` §15 for the contract). The gateway drains the channel in
-//! waves: runs of mutations join the admission batch, runs of read-only
+//! waves: runs of mutations form group commits, runs of read-only
 //! queries are answered together on the `tg-par` pool.
 
 use std::io::{Read, Write};
@@ -38,10 +38,11 @@ pub enum Bind {
 /// Daemon tuning knobs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ServeConfig {
-    /// Admission batch window: how many pending mutations coalesce into
-    /// one `try_apply_all` before a forced flush. The gateway also
-    /// flushes when a query arrives or the request channel idles, so a
-    /// large window never delays a verdict indefinitely.
+    /// Admission batch window: the largest group commit — how many
+    /// consecutive mutations share one commit-log persist before a forced
+    /// flush. The gateway also flushes before answering queries and at
+    /// the end of every drain of the request channel, so a large window
+    /// never delays a verdict past the requests already queued.
     pub batch_window: usize,
 }
 
@@ -88,10 +89,7 @@ impl Tag {
 }
 
 /// One queued unit of work for the gateway thread.
-struct Job {
-    tag: Tag,
-    request: Request,
-}
+type Job = (Tag, Request);
 
 enum Listener {
     Tcp(TcpListener),
@@ -278,6 +276,9 @@ fn accept_loop(
             Listener::Tcp(l) => match l.accept() {
                 Ok((stream, _)) => {
                     stream.set_nonblocking(false).expect("blocking stream");
+                    // Verdicts are small frames written as soon as they
+                    // are final; Nagle would hold them for a delayed ACK.
+                    stream.set_nodelay(true).expect("TCP_NODELAY");
                     stream
                         .set_read_timeout(Some(Duration::from_millis(50)))
                         .expect("read timeout");
@@ -383,14 +384,11 @@ fn session_loop(
                 continue;
             }
         };
-        let job = Job {
-            tag: Tag {
-                reply: reply_tx.clone(),
-                request_id,
-            },
-            request,
+        let tag = Tag {
+            reply: reply_tx.clone(),
+            request_id,
         };
-        if tx.send(job).is_err() {
+        if tx.send((tag, request)).is_err() {
             // The gateway is gone (shutdown drain): nothing more can be
             // answered.
             break;
@@ -401,9 +399,10 @@ fn session_loop(
     tg_obs::add(tg_obs::Counter::ServeSessionsClosed, 1);
 }
 
-/// The gateway thread: consumes the job channel in waves, batching
-/// mutations and answering query runs on the pool, until a shutdown
-/// request (or channel disconnect) drains it.
+/// The gateway thread: consumes the job channel one drain at a time
+/// (everything already queued, up to 512 jobs) until a shutdown request
+/// (or channel disconnect) stops it. Every drain ends with a flush, so
+/// nothing is pending while the thread blocks for the next job.
 fn gateway_loop(
     monitor: Monitor,
     log: Option<CommitLog>,
@@ -415,29 +414,16 @@ fn gateway_loop(
     let mut gw: Gateway<Tag> = Gateway::new(monitor, log, config.batch_window);
     let mut stopping = false;
     loop {
-        // One job, obtained according to phase: normally a blocking
-        // receive; with a pending batch, a short poll so an idle channel
-        // flushes rather than starving deferred verdicts; when stopping,
-        // a drain that ends the loop at the first empty read.
+        // Normally block for the next job; once stopping, take only what
+        // is already queued and end at the first empty read.
         let first = if stopping {
             rx.try_recv().ok()
-        } else if gw.has_pending() {
-            match rx.recv_timeout(Duration::from_millis(1)) {
-                Ok(job) => Some(job),
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    for (tag, verdict) in gw.flush() {
-                        tag.send(verdict);
-                    }
-                    continue;
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => None,
-            }
         } else {
             rx.recv().ok()
         };
         let Some(first) = first else { break };
-        // Opportunistically drain what else is already queued: this is
-        // where concurrent sessions actually coalesce.
+        // Drain what else is already queued: this is where pipelined and
+        // concurrent requests coalesce into groups.
         let mut jobs = vec![first];
         while jobs.len() < 512 {
             match rx.try_recv() {
@@ -445,36 +431,9 @@ fn gateway_loop(
                 Err(_) => break,
             }
         }
-        // Process in arrival order. Consecutive read-only requests pool
-        // into one wave; a mutation first answers the accumulated wave
-        // (which must not observe it), then joins the admission batch.
-        let mut wave: Vec<(Tag, Request)> = Vec::new();
-        for job in jobs {
-            match job.request {
-                Request::Apply(rule) => {
-                    for (tag, verdict) in gw.query_wave(std::mem::take(&mut wave), &pool) {
-                        tag.send(verdict);
-                    }
-                    for (tag, verdict) in gw.submit_mutation(job.tag, rule) {
-                        tag.send(verdict);
-                    }
-                }
-                Request::Shutdown => {
-                    for (tag, verdict) in gw.query_wave(std::mem::take(&mut wave), &pool) {
-                        tag.send(verdict);
-                    }
-                    for (tag, verdict) in gw.flush() {
-                        tag.send(verdict);
-                    }
-                    job.tag.send(Verdict::Ok("bye".into()));
-                    shutdown.store(true, Ordering::SeqCst);
-                    stopping = true;
-                }
-                other => wave.push((job.tag, other)),
-            }
-        }
-        for (tag, verdict) in gw.query_wave(wave, &pool) {
-            tag.send(verdict);
+        if gw.drain(jobs, &pool, |tag, verdict| tag.send(verdict)) {
+            shutdown.store(true, Ordering::SeqCst);
+            stopping = true;
         }
     }
     let batches = gw.batches();
